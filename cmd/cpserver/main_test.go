@@ -309,6 +309,15 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 	cancel() // SIGTERM
 
+	// serve notices the cancel on its own goroutine; a probe sent before
+	// it flips the drain flag is legitimately answered "ready". Wait for
+	// the flip, so the probe below always lands inside the drain.
+	for deadline := time.Now().Add(5 * time.Second); !a.api.Draining(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("serve did not begin draining after cancel")
+		}
+	}
+
 	// While draining, readiness reports 503 (new connections are still
 	// accepted until Shutdown closes the listener, so this may race with
 	// the listener closing; either observation is a pass).

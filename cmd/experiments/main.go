@@ -5,101 +5,17 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
-	"contextpref/internal/dataset"
 	"contextpref/internal/experiments"
-	"contextpref/internal/usability"
 )
 
 func main() {
 	runFlag := flag.String("run", "all", "experiment to run: table1|fig5|fig6|fig7|ablations|all")
 	seed := flag.Int64("seed", 2007, "random seed")
 	flag.Parse()
-	if err := run(os.Stdout, *runFlag, *seed); err != nil {
+	if err := experiments.Run(os.Stdout, *runFlag, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-}
-
-func run(w io.Writer, which string, seed int64) error {
-	want := func(name string) bool { return which == "all" || which == name }
-	ran := false
-	if want("table1") {
-		ran = true
-		cfg := usability.DefaultConfig()
-		cfg.Seed = seed
-		res, err := experiments.Table1(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Render())
-	}
-	if want("fig5") {
-		ran = true
-		res, err := experiments.Fig5(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Render())
-	}
-	if want("fig6") {
-		ran = true
-		uni, err := experiments.Fig6(dataset.Uniform, 0, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, uni.Render())
-		zipf, err := experiments.Fig6(dataset.Zipf, 1.5, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, zipf.Render())
-		skew, err := experiments.Fig6Skew(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, skew.Render())
-	}
-	if want("fig7") {
-		ran = true
-		real7, err := experiments.Fig7Real(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, real7.Render())
-		center, err := experiments.Fig7Synthetic(true, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, center.Render())
-		right, err := experiments.Fig7Synthetic(false, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, right.Render())
-	}
-	if want("ablations") {
-		ran = true
-		da, err := experiments.DistanceAblation(seed, 200)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, da.Render())
-		sa, err := experiments.SearchAblation(seed, 200)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sa.Render())
-		ca, err := experiments.CacheAblation(seed, 200)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, ca.Render())
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q (want table1|fig5|fig6|fig7|ablations|all)", which)
-	}
-	return nil
 }

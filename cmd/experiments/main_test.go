@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"contextpref/internal/experiments"
 )
 
 func TestRunSingleExperiments(t *testing.T) {
@@ -16,7 +18,7 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 	for _, c := range cases {
 		var b strings.Builder
-		if err := run(&b, c.which, 2007); err != nil {
+		if err := experiments.Run(&b, c.which, 2007); err != nil {
 			t.Fatalf("run(%s): %v", c.which, err)
 		}
 		if !strings.Contains(b.String(), c.frag) {
@@ -30,7 +32,7 @@ func TestRunAll(t *testing.T) {
 		t.Skip("full sweep is slow")
 	}
 	var b strings.Builder
-	if err := run(&b, "all", 2007); err != nil {
+	if err := experiments.Run(&b, "all", 2007); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -47,7 +49,7 @@ func TestRunAll(t *testing.T) {
 
 func TestRunUnknown(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "fig99", 2007); err == nil {
+	if err := experiments.Run(&b, "fig99", 2007); err == nil {
 		t.Error("unknown experiment should fail")
 	}
 }

@@ -908,12 +908,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("%s @ %.3f", rl.Match.State, rl.Match.Distance))
 		}
 	}
-	for _, t := range res.Tuples {
+	if len(res.Tuples) > 0 {
+		resp.Tuples = make([]QueryTuple, len(res.Tuples))
+	}
+	for j, t := range res.Tuples {
 		vals := make([]string, len(t.Tuple))
 		for i, v := range t.Tuple {
 			vals[i] = v.String()
 		}
-		resp.Tuples = append(resp.Tuples, QueryTuple{Score: t.Score, Values: vals})
+		resp.Tuples[j] = QueryTuple{Score: t.Score, Values: vals}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -961,8 +964,11 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 			Distance:    c.Distance,
 			Specificity: c.Specificity,
 		}
-		for _, e := range c.Entries {
-			rc.Entries = append(rc.Entries, fmt.Sprintf("%s : %.2f", e.Clause, e.Score))
+		if len(c.Entries) > 0 {
+			rc.Entries = make([]string, len(c.Entries))
+		}
+		for i, e := range c.Entries {
+			rc.Entries[i] = fmt.Sprintf("%s : %.2f", e.Clause, e.Score)
 		}
 		out = append(out, rc)
 	}

@@ -7,6 +7,7 @@
 package ctxmodel
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -127,6 +128,48 @@ const stateSep = "\x1f"
 // Key returns a canonical string form usable as a map key.
 func (s State) Key() string { return strings.Join(s, stateSep) }
 
+// CompareKey orders s and t exactly as strings.Compare(s.Key(), t.Key())
+// does, without building either key: the profile tree breaks distance
+// ties by key on every resolution, and the join would allocate twice
+// per comparison.
+func (s State) CompareKey(t State) int {
+	a, b := keyReader{s: s}, keyReader{s: t}
+	for {
+		ca, okA := a.next()
+		cb, okB := b.next()
+		switch {
+		case !okA && !okB:
+			return 0
+		case !okA:
+			return -1
+		case !okB:
+			return 1
+		case ca != cb:
+			return cmp.Compare(ca, cb)
+		}
+	}
+}
+
+// keyReader yields the bytes of s.Key() one at a time.
+type keyReader struct {
+	s    State
+	i, j int // value index, byte offset inside s[i]
+}
+
+func (r *keyReader) next() (byte, bool) {
+	for r.i < len(r.s) {
+		if r.j < len(r.s[r.i]) {
+			r.j++
+			return r.s[r.i][r.j-1], true
+		}
+		r.i, r.j = r.i+1, 0
+		if r.i < len(r.s) {
+			return stateSep[0], true
+		}
+	}
+	return 0, false
+}
+
 // StateFromKey reconstructs a state from a Key().
 func StateFromKey(k string) State { return State(strings.Split(k, stateSep)) }
 
@@ -152,14 +195,8 @@ func (s State) String() string { return "(" + strings.Join(s, ", ") + ")" }
 // NewState validates values against the environment's extended domains
 // and returns them as a state.
 func (e *Environment) NewState(values ...string) (State, error) {
-	if len(values) != len(e.params) {
-		return nil, fmt.Errorf("ctxmodel: state has %d values, environment has %d parameters",
-			len(values), len(e.params))
-	}
-	for i, v := range values {
-		if !e.params[i].h.Contains(v) {
-			return nil, fmt.Errorf("ctxmodel: value %q not in edom(%s)", v, e.params[i].name)
-		}
+	if err := e.Validate(values); err != nil {
+		return nil, err
 	}
 	return State(append([]string(nil), values...)), nil
 }
@@ -175,8 +212,16 @@ func (e *Environment) AllState() State {
 
 // Validate checks that s is a well-formed state of this environment.
 func (e *Environment) Validate(s State) error {
-	_, err := e.NewState(s...)
-	return err
+	if len(s) != len(e.params) {
+		return fmt.Errorf("ctxmodel: state has %d values, environment has %d parameters",
+			len(s), len(e.params))
+	}
+	for i, v := range s {
+		if !e.params[i].h.Contains(v) {
+			return fmt.Errorf("ctxmodel: value %q not in edom(%s)", v, e.params[i].name)
+		}
+	}
+	return nil
 }
 
 // LevelsOf implements Def. 13: the hierarchy level index of each value

@@ -580,3 +580,25 @@ func TestDescriptorAccessors(t *testing.T) {
 		t.Errorf("MustReferenceEnvironment params = %d", e.NumParams())
 	}
 }
+
+// TestCompareKeyOrdersLikeKey checks CompareKey against the joined
+// keys on random states over a tiny alphabet that includes the
+// separator and bytes on both sides of it, empty values, values that
+// are prefixes of one another, and states of different arity.
+func TestCompareKeyOrdersLikeKey(t *testing.T) {
+	alphabet := []string{"", "a", "ab", "b", "\x1f", "a\x1f", "\x00", "a\x00", "~"}
+	r := rand.New(rand.NewSource(7))
+	randState := func() State {
+		s := make(State, r.Intn(4))
+		for i := range s {
+			s[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return s
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := randState(), randState()
+		if got, want := a.CompareKey(b), strings.Compare(a.Key(), b.Key()); got != want {
+			t.Fatalf("CompareKey(%q, %q) = %d, strings.Compare of keys = %d", a, b, got, want)
+		}
+	}
+}

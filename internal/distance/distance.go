@@ -7,7 +7,6 @@ package distance
 
 import (
 	"fmt"
-	"math"
 
 	"contextpref/internal/ctxmodel"
 )
@@ -103,32 +102,28 @@ func (Jaccard) ValueDistance(e *ctxmodel.Environment, param int, v1, v2 string) 
 }
 
 // JaccardValue computes the Def. 16 distance between two values of the
-// i-th parameter's hierarchy.
+// i-th parameter's hierarchy. The hierarchy's values form a tree, so
+// two desc sets are either nested or disjoint: when v1 is v2 or one of
+// its ancestors, desc(v2) ⊆ desc(v1) and the ratio is
+// |desc(v2)| / |desc(v1)| (symmetrically the other way round), and
+// disjoint sets give 1 − 0 = 1. Only the leaf counts are needed, so no
+// set is ever built (DESIGN.md §5).
 func JaccardValue(e *ctxmodel.Environment, param int, v1, v2 string) (float64, error) {
 	h := e.Param(param).Hierarchy()
-	d1, err := h.Descendants(v1)
-	if err != nil {
-		return 0, fmt.Errorf("distance: %w", err)
+	n1, ok := h.LeafCount(v1)
+	if !ok {
+		return 0, fmt.Errorf("distance: hierarchy %s: unknown value %q", h.Name(), v1)
 	}
-	d2, err := h.Descendants(v2)
-	if err != nil {
-		return 0, fmt.Errorf("distance: %w", err)
+	n2, ok := h.LeafCount(v2)
+	if !ok {
+		return 0, fmt.Errorf("distance: hierarchy %s: unknown value %q", h.Name(), v2)
 	}
-	set1 := make(map[string]bool, len(d1))
-	for _, v := range d1 {
-		set1[v] = true
-	}
-	inter := 0
-	for _, v := range d2 {
-		if set1[v] {
-			inter++
-		}
-	}
-	union := len(d1) + len(d2) - inter
-	if union == 0 {
-		// Cannot happen for well-formed hierarchies: every value has at
-		// least one detailed descendant.
-		return math.Inf(1), nil
+	inter, union := 0, n1+n2
+	switch {
+	case h.IsAncestorOrSelf(v1, v2):
+		inter, union = n2, n1
+	case h.IsAncestorOrSelf(v2, v1):
+		inter, union = n1, n2
 	}
 	return 1 - float64(inter)/float64(union), nil
 }

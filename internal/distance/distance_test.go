@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"contextpref/internal/ctxmodel"
+	"contextpref/internal/dataset"
 )
 
 func env(t *testing.T) *ctxmodel.Environment {
@@ -322,5 +323,74 @@ func TestQuickMetricAxioms(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// setJaccard is Def. 16 computed literally over detailed-level
+// descendant sets: 1 − |d1 ∩ d2| / |d1 ∪ d2|. It is the reference the
+// closed form in JaccardValue must reproduce bit for bit.
+func setJaccard(d1, d2 []string) float64 {
+	set1 := make(map[string]bool, len(d1))
+	for _, v := range d1 {
+		set1[v] = true
+	}
+	inter := 0
+	for _, v := range d2 {
+		if set1[v] {
+			inter++
+		}
+	}
+	union := len(d1) + len(d2) - inter
+	return 1 - float64(inter)/float64(union)
+}
+
+// TestJaccardClosedFormMatchesSetDefinition checks JaccardValue against
+// the set-based Def. 16 for every ordered value pair of every hierarchy
+// the paper's experiments use: the reference environment, the real
+// profile's environment, and the synthetic Uniform shapes of Figs. 6–7.
+// It also checks the leaf-count table against the descendant sets the
+// reference builds.
+func TestJaccardClosedFormMatchesSetDefinition(t *testing.T) {
+	ref, err := ctxmodel.ReferenceEnvironment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	realEnv, _, err := dataset.RealProfile(2007)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig6, err := dataset.Fig6Environment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	skew, err := dataset.Fig6SkewEnvironment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*ctxmodel.Environment{ref, realEnv, fig6, skew} {
+		for param := 0; param < e.NumParams(); param++ {
+			h := e.Param(param).Hierarchy()
+			values := h.ExtendedDomain()
+			desc := make([][]string, len(values))
+			for i, v := range values {
+				if desc[i], err = h.Descendants(v); err != nil {
+					t.Fatal(err)
+				}
+				if n, ok := h.LeafCount(v); !ok || n != len(desc[i]) {
+					t.Errorf("%s: LeafCount(%s) = %d, %v; |Descendants| = %d", h.Name(), v, n, ok, len(desc[i]))
+				}
+			}
+			for i, v1 := range values {
+				for j, v2 := range values {
+					got, err := JaccardValue(e, param, v1, v2)
+					if err != nil {
+						t.Fatalf("%s: JaccardValue(%s, %s): %v", h.Name(), v1, v2, err)
+					}
+					if want := setJaccard(desc[i], desc[j]); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: JaccardValue(%s, %s) = %v, set definition gives %v", h.Name(), v1, v2, got, want)
+					}
+				}
+			}
+		}
 	}
 }

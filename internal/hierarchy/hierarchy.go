@@ -42,6 +42,7 @@ type Hierarchy struct {
 	children   map[string][]string // value -> ordered children (next level down)
 	valuesAt   [][]string          // per level, values in insertion order
 	rank       map[string]int      // value -> position within its level (total order)
+	leafCount  map[string]int      // value -> |desc(v)| at the detailed level
 }
 
 // Name returns the hierarchy's name (usually the context parameter name).
@@ -169,6 +170,14 @@ func (h *Hierarchy) Descendants(v string) ([]string, error) {
 	return h.DescAt(v, 0)
 }
 
+// LeafCount returns |desc(v)|, the size of v's desc set at the
+// detailed level (1 for a detailed value, |dom(C)| for "all"), from a
+// table filled once by Build; ok is false for an unknown value.
+func (h *Hierarchy) LeafCount(v string) (n int, ok bool) {
+	n, ok = h.leafCount[v]
+	return n, ok
+}
+
 // IsAncestorOrSelf reports whether a = v or a is an ancestor of v at
 // some higher level (a = anc(v) for some pair of levels). This is the
 // per-parameter ingredient of the covers relation (Def. 10).
@@ -184,8 +193,10 @@ func (h *Hierarchy) IsAncestorOrSelf(a, v string) bool {
 	if la < lv {
 		return false
 	}
-	anc, err := h.Anc(v, la)
-	return err == nil && anc == a
+	for ; lv < la; lv++ {
+		v = h.parent[v]
+	}
+	return v == a
 }
 
 // Ancestors returns v followed by each of its ancestors up to and
@@ -332,6 +343,7 @@ func (b *Builder) Build() (*Hierarchy, error) {
 		children:   make(map[string][]string),
 		valuesAt:   make([][]string, n),
 		rank:       make(map[string]int),
+		leafCount:  make(map[string]int),
 	}
 	for i, l := range h.levels {
 		h.levelIndex[l] = i
@@ -370,6 +382,14 @@ func (b *Builder) Build() (*Hierarchy, error) {
 	}
 	if err := h.validateMonotone(); err != nil {
 		return nil, err
+	}
+	for _, leaf := range h.valuesAt[0] {
+		for v := leaf; ; v = h.parent[v] {
+			h.leafCount[v]++
+			if v == All {
+				break
+			}
+		}
 	}
 	return h, nil
 }

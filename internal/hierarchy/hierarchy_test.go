@@ -173,6 +173,18 @@ func TestIsAncestorOrSelf(t *testing.T) {
 	}
 }
 
+func TestLeafCount(t *testing.T) {
+	h := locationHierarchy(t)
+	for v, want := range map[string]int{"Plaka": 1, "Athens": 2, "Ioannina": 1, "Greece": 3, All: 3} {
+		if got, ok := h.LeafCount(v); !ok || got != want {
+			t.Errorf("LeafCount(%q) = %d, %v; want %d", v, got, ok, want)
+		}
+	}
+	if _, ok := h.LeafCount("nope"); ok {
+		t.Error("LeafCount of an unknown value should report !ok")
+	}
+}
+
 func TestTemperatureGrouping(t *testing.T) {
 	h := temperatureHierarchy(t)
 	ds, err := h.Descendants("good")

@@ -22,8 +22,10 @@
 package profiletree
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"contextpref/internal/ctxmodel"
@@ -271,25 +273,6 @@ func leafEntryBytes(e Leaf) int {
 	return len(e.Clause.Attr) + len(e.Clause.Val.String()) + ScoreBytes
 }
 
-// toTreeOrder converts a state from environment order to tree-level
-// order.
-func (t *Tree) toTreeOrder(s ctxmodel.State) []string {
-	out := make([]string, len(s))
-	for level, param := range t.order {
-		out[level] = s[param]
-	}
-	return out
-}
-
-// toEnvOrder converts a tree-level path back to environment order.
-func (t *Tree) toEnvOrder(path []string) ctxmodel.State {
-	out := make(ctxmodel.State, len(path))
-	for level, param := range t.order {
-		out[param] = path[level]
-	}
-	return out
-}
-
 // Insert adds every context state of the preference's descriptor to the
 // tree (Section 3.3). Conflicts (Def. 6) are detected during insertion
 // by traversing each state's root-to-leaf path first: if any state
@@ -382,11 +365,10 @@ func (t *Tree) InsertAll(ps ...preference.Preference) error {
 func (t *Tree) applyInsert(p preference.Preference) {
 	states, _ := p.Descriptor.Context(t.env)
 	for _, s := range states {
-		path := t.toTreeOrder(s)
 		nd := t.root
-		for _, key := range path {
+		for _, param := range t.order {
 			var created bool
-			nd, created = nd.child(key)
+			nd, created = nd.child(s[param])
 			if created {
 				t.numInternalCells++
 			}
@@ -427,8 +409,7 @@ func (t *Tree) Delete(p preference.Preference) (int, error) {
 	}
 	removed := 0
 	for _, s := range states {
-		path := t.toTreeOrder(s)
-		if t.deletePath(t.root, path, 0, p) {
+		if t.deletePath(t.root, s, 0, p) {
 			removed++
 		}
 	}
@@ -441,10 +422,11 @@ func (t *Tree) Delete(p preference.Preference) (int, error) {
 	return removed, nil
 }
 
-// deletePath removes the entry along one path, pruning empty nodes
-// bottom-up; it reports whether an entry was removed.
-func (t *Tree) deletePath(nd *node, path []string, level int, p preference.Preference) bool {
-	if level == len(path) {
+// deletePath removes the entry along the path of state s (in
+// environment order), pruning empty nodes bottom-up; it reports whether
+// an entry was removed.
+func (t *Tree) deletePath(nd *node, s ctxmodel.State, level int, p preference.Preference) bool {
+	if level == len(t.order) {
 		for i, e := range nd.entries {
 			if e.Clause.Equal(p.Clause) && e.Score == p.Score {
 				nd.entries = append(nd.entries[:i], nd.entries[i+1:]...)
@@ -458,11 +440,11 @@ func (t *Tree) deletePath(nd *node, path []string, level int, p preference.Prefe
 		return false
 	}
 	for i, key := range nd.keys {
-		if key != path[level] {
+		if key != s[t.order[level]] {
 			continue
 		}
 		child := nd.children[i]
-		if !t.deletePath(child, path, level+1, p) {
+		if !t.deletePath(child, s, level+1, p) {
 			return false
 		}
 		// Prune the cell if the child holds nothing anymore.
@@ -485,11 +467,10 @@ func (t *Tree) InsertProfile(pr *preference.Profile) error {
 // descendExact follows the exact path for a state, returning the leaf
 // node (nil if the path is absent) and the number of cells accessed.
 func (t *Tree) descendExact(s ctxmodel.State) (*node, int, bool) {
-	path := t.toTreeOrder(s)
 	nd := t.root
 	accesses := 0
-	for _, key := range path {
-		child, scanned := nd.find(key)
+	for _, param := range t.order {
+		child, scanned := nd.find(s[param])
 		accesses += scanned
 		if child == nil {
 			return nil, accesses, false
@@ -532,12 +513,13 @@ type Candidate struct {
 	Specificity int
 }
 
-// specificity computes the candidate-state cardinality.
+// specificity computes the candidate-state cardinality: the product of
+// the values' detailed-level leaf counts.
 func specificity(e *ctxmodel.Environment, s ctxmodel.State) int {
 	total := 1
 	for i, v := range s {
-		if ds, err := e.Param(i).Hierarchy().Descendants(v); err == nil {
-			total *= len(ds)
+		if n, ok := e.Param(i).Hierarchy().LeafCount(v); ok {
+			total *= n
 		}
 	}
 	return total
@@ -565,60 +547,9 @@ func (t *Tree) SearchCover(s ctxmodel.State, m distance.Metric) ([]Candidate, in
 // context.DeadlineExceeded) once the context is done, so a server
 // deadline or a departed client stops the tree walk early instead of
 // running it to completion.
-//
-//cpvet:scanloop
 func (t *Tree) SearchCoverCtx(ctx context.Context, s ctxmodel.State, m distance.Metric) ([]Candidate, int, error) {
-	if err := t.env.Validate(s); err != nil {
-		return nil, 0, err
-	}
-	path := t.toTreeOrder(s)
-	var out []Candidate
-	accesses := 0
-	cur := make([]string, 0, len(path))
-
-	var rec func(nd *node, level int, dist float64) error
-	rec = func(nd *node, level int, dist float64) error {
-		if level == len(path) {
-			if len(nd.entries) > 0 {
-				st := t.toEnvOrder(cur)
-				out = append(out, Candidate{
-					State:       st,
-					Entries:     append([]Leaf(nil), nd.entries...),
-					Distance:    dist,
-					Specificity: specificity(t.env, st),
-				})
-			}
-			return nil
-		}
-		param := t.order[level]
-		h := t.env.Param(param).Hierarchy()
-		for i, key := range nd.keys {
-			accesses++
-			if accesses&(cancelCheckEvery-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return canceled(err)
-				}
-			}
-			if !h.IsAncestorOrSelf(key, path[level]) {
-				continue
-			}
-			d, err := m.ValueDistance(t.env, param, key, path[level])
-			if err != nil {
-				return err
-			}
-			cur = append(cur, key)
-			err = rec(nd.children[i], level+1, dist+d)
-			cur = cur[:len(cur)-1]
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(t.root, 0, 0); err != nil {
-		return nil, accesses, err
-	}
-	return out, accesses, nil
+	r, err := t.searchCover(ctx, s, m, collectAll)
+	return r.all, r.accesses, err
 }
 
 // SearchCoverBest is the branch-and-bound variant the paper sketches as
@@ -634,70 +565,137 @@ func (t *Tree) SearchCoverBest(s ctxmodel.State, m distance.Metric) (Candidate, 
 
 // SearchCoverBestCtx is SearchCoverBest with cooperative cancellation,
 // on the same contract as SearchCoverCtx.
+func (t *Tree) SearchCoverBestCtx(ctx context.Context, s ctxmodel.State, m distance.Metric) (Candidate, int, bool, error) {
+	r, err := t.searchCover(ctx, s, m, pruneBest)
+	return r.best, r.accesses, r.found > 0, err
+}
+
+// searchMode selects what a Search_CS walk keeps.
+type searchMode int
+
+const (
+	// collectAll materializes every covering path (SearchCover).
+	collectAll searchMode = iota
+	// keepBest materializes only the best path under betterCandidate,
+	// but still examines every cell, so its cell counts are the paper's
+	// (Resolve).
+	keepBest
+	// pruneBest is keepBest plus branch-and-bound: a branch whose
+	// accumulated distance already exceeds the best complete path is
+	// not entered (SearchCoverBest).
+	pruneBest
+)
+
+// inlineParams is the environment arity up to which a walk keeps its
+// path buffers and stack off the heap.
+const inlineParams = 8
+
+// frame is one level of the walk's explicit stack.
+type frame struct {
+	nd   *node
+	next int     // index of the next cell of nd to examine
+	dist float64 // distance accumulated from the root down to nd
+}
+
+// coverResult is what one walk found.
+type coverResult struct {
+	all      []Candidate // collectAll: every covering path, in tree order
+	best     Candidate   // keepBest, pruneBest: the winner, if found > 0
+	found    int         // covering paths reached
+	accesses int         // cells examined
+}
+
+// searchCover is the one Search_CS walker behind SearchCover,
+// SearchCoverBest and Resolve. It descends depth-first with an explicit
+// stack, writing the keys of the current path into an
+// environment-ordered buffer, so a path is copied out only when it is
+// kept. Cells of a node are examined in insertion order, and a
+// canceled ctx stops the walk within cancelCheckEvery cells.
 //
 //cpvet:scanloop
-func (t *Tree) SearchCoverBestCtx(ctx context.Context, s ctxmodel.State, m distance.Metric) (Candidate, int, bool, error) {
+func (t *Tree) searchCover(ctx context.Context, s ctxmodel.State, m distance.Metric, mode searchMode) (coverResult, error) {
+	var r coverResult
 	if err := t.env.Validate(s); err != nil {
-		return Candidate{}, 0, false, err
+		return r, err
 	}
-	path := t.toTreeOrder(s)
-	var best Candidate
-	found := false
-	accesses := 0
-	cur := make([]string, 0, len(path))
+	n := len(t.order)
+	var curBuf, bestBuf [inlineParams]string
+	var stackBuf [inlineParams + 1]frame
+	cur, best := ctxmodel.State(curBuf[:]), ctxmodel.State(bestBuf[:])
+	if n > inlineParams {
+		cur, best = make(ctxmodel.State, n), make(ctxmodel.State, n)
+	}
+	cur, best = cur[:n], best[:n]
+	var bestLeaf *node
+	bestDist := 0.0
 
-	var rec func(nd *node, level int, dist float64) error
-	rec = func(nd *node, level int, dist float64) error {
-		// Strict inequality: equal-distance paths are still explored so
-		// the specificity tie-break agrees with Best(SearchCover(...)).
-		if found && dist > best.Distance {
-			return nil
-		}
-		if level == len(path) {
-			if len(nd.entries) > 0 {
-				st := t.toEnvOrder(cur)
-				c := Candidate{
-					State:       st,
-					Entries:     append([]Leaf(nil), nd.entries...),
-					Distance:    dist,
-					Specificity: specificity(t.env, st),
-				}
-				if !found || betterCandidate(c, best) {
-					best = c
-					found = true
-				}
-			}
-			return nil
-		}
-		param := t.order[level]
-		h := t.env.Param(param).Hierarchy()
-		for i, key := range nd.keys {
-			accesses++
-			if accesses&(cancelCheckEvery-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return canceled(err)
-				}
-			}
-			if !h.IsAncestorOrSelf(key, path[level]) {
+	stack := append(stackBuf[:0], frame{nd: t.root})
+	for len(stack) > 0 {
+		level := len(stack) - 1
+		top := &stack[level]
+		if level == n {
+			stack = stack[:level]
+			leaf := top.nd
+			if len(leaf.entries) == 0 {
 				continue
 			}
-			d, err := m.ValueDistance(t.env, param, key, path[level])
-			if err != nil {
-				return err
+			r.found++
+			switch {
+			case mode == collectAll:
+				r.all = append(r.all, Candidate{
+					State:       cur.Clone(),
+					Entries:     append([]Leaf(nil), leaf.entries...),
+					Distance:    top.dist,
+					Specificity: specificity(t.env, cur),
+				})
+			case bestLeaf == nil || betterCandidate(
+				Candidate{State: cur, Distance: top.dist},
+				Candidate{State: best, Distance: bestDist}):
+				copy(best, cur)
+				bestLeaf, bestDist = leaf, top.dist
 			}
-			cur = append(cur, key)
-			err = rec(nd.children[i], level+1, dist+d)
-			cur = cur[:len(cur)-1]
-			if err != nil {
-				return err
+			continue
+		}
+		nd := top.nd
+		if top.next == len(nd.keys) {
+			stack = stack[:level]
+			continue
+		}
+		i := top.next
+		top.next++
+		r.accesses++
+		if r.accesses&(cancelCheckEvery-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return coverResult{accesses: r.accesses}, canceled(err)
 			}
 		}
-		return nil
+		param := t.order[level]
+		key, want := nd.keys[i], s[param]
+		if !t.env.Param(param).Hierarchy().IsAncestorOrSelf(key, want) {
+			continue
+		}
+		d, err := m.ValueDistance(t.env, param, key, want)
+		if err != nil {
+			return coverResult{accesses: r.accesses}, err
+		}
+		dist := top.dist + d
+		// Strict inequality: equal-distance paths are still explored so
+		// the key tie-break agrees with Best(SearchCover(...)).
+		if mode == pruneBest && bestLeaf != nil && dist > bestDist {
+			continue
+		}
+		cur[param] = key
+		stack = append(stack, frame{nd: nd.children[i], dist: dist})
 	}
-	if err := rec(t.root, 0, 0); err != nil {
-		return Candidate{}, accesses, false, err
+	if bestLeaf != nil {
+		r.best = Candidate{
+			State:       best.Clone(),
+			Entries:     append([]Leaf(nil), bestLeaf.entries...),
+			Distance:    bestDist,
+			Specificity: specificity(t.env, best),
+		}
 	}
-	return best, accesses, found, nil
+	return r, nil
 }
 
 // Best returns the candidate with the minimum distance (Def. 12's
@@ -729,7 +727,7 @@ func betterCandidate(a, b Candidate) bool {
 	if a.Distance != b.Distance {
 		return a.Distance < b.Distance
 	}
-	return a.State.Key() < b.State.Key()
+	return a.State.CompareKey(b.State) < 0
 }
 
 // Resolve performs full context resolution for one searched state: an
@@ -746,7 +744,7 @@ func (t *Tree) Resolve(s ctxmodel.State, m distance.Metric) (Candidate, int, boo
 // cells accessed before the abort are still counted into the metrics,
 // so cancellations are observable in cp_resolve_cells_total.
 //
-//cpvet:hotpath allocs=62 cover-query resolution over the real profile with full instrumentation; the budget is today's measurement, move it only with a benchmark
+//cpvet:hotpath allocs=1 cover-query resolution over the real profile with full instrumentation: a covering hit copies out the winner's state and entries, a miss allocates nothing, and the walk itself never does
 func (t *Tree) ResolveCtx(ctx context.Context, s ctxmodel.State, m distance.Metric) (Candidate, int, bool, error) {
 	ctx, sp := tracing.Start(ctx, "profiletree.resolve")
 	defer sp.End()
@@ -762,26 +760,26 @@ func (t *Tree) ResolveCtx(ctx context.Context, s ctxmodel.State, m distance.Metr
 		sp.SetBool("hit", true)
 		return Candidate{State: s.Clone(), Entries: entries, Distance: 0}, accesses, true, nil
 	}
-	cands, more, err := t.SearchCoverCtx(ctx, s, m)
-	accesses += more
+	r, err := t.searchCover(ctx, s, m, keepBest)
+	accesses += r.accesses
 	if err != nil {
-		t.metrics.observe(accesses, len(cands), false)
+		t.metrics.observe(accesses, 0, false)
 		sp.Fail(err)
 		return Candidate{}, accesses, false, err
 	}
-	best, ok := Best(cands)
-	t.metrics.observe(accesses, len(cands), ok)
+	ok := r.found > 0
+	t.metrics.observe(accesses, r.found, ok)
 	// The paper's Section 5 cost model, per request: cells visited by
 	// the Search_CS scan, covering candidates found, and the winning
 	// cover's hierarchy distance and specificity.
 	sp.SetInt("cells", int64(accesses))
-	sp.SetInt("candidates", int64(len(cands)))
+	sp.SetInt("candidates", int64(r.found))
 	sp.SetBool("hit", ok)
 	if ok {
-		sp.SetFloat("distance", best.Distance)
-		sp.SetInt("specificity", int64(best.Specificity))
+		sp.SetFloat("distance", r.best.Distance)
+		sp.SetInt("specificity", int64(r.best.Specificity))
 	}
-	return best, accesses, ok, nil
+	return r.best, accesses, ok, nil
 }
 
 // ResolveAll returns every stored state covering s ordered from most to
@@ -807,15 +805,14 @@ func (t *Tree) ResolveAllCtx(ctx context.Context, s ctxmodel.State, m distance.M
 	t.metrics.observe(accesses, len(cands), len(cands) > 0)
 	sp.SetInt("cells", int64(accesses))
 	sp.SetInt("candidates", int64(len(cands)))
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.Distance != b.Distance {
-			return a.Distance < b.Distance
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
+			return c
 		}
-		if a.Specificity != b.Specificity {
-			return a.Specificity < b.Specificity
+		if c := cmp.Compare(a.Specificity, b.Specificity); c != 0 {
+			return c
 		}
-		return a.State.Key() < b.State.Key()
+		return a.State.CompareKey(b.State)
 	})
 	return cands, accesses, nil
 }
@@ -825,25 +822,24 @@ func (t *Tree) ResolveAllCtx(ctx context.Context, s ctxmodel.State, m distance.M
 // diagnostics and serialization.
 func (t *Tree) Paths() []Candidate {
 	var out []Candidate
-	cur := make([]string, 0, len(t.order))
-	var rec func(nd *node)
-	rec = func(nd *node) {
-		if len(cur) == len(t.order) {
+	cur := make(ctxmodel.State, len(t.order))
+	var rec func(nd *node, level int)
+	rec = func(nd *node, level int) {
+		if level == len(t.order) {
 			if len(nd.entries) > 0 {
 				out = append(out, Candidate{
-					State:   t.toEnvOrder(cur),
+					State:   cur.Clone(),
 					Entries: append([]Leaf(nil), nd.entries...),
 				})
 			}
 			return
 		}
 		for i, key := range nd.keys {
-			cur = append(cur, key)
-			rec(nd.children[i])
-			cur = cur[:len(cur)-1]
+			cur[t.order[level]] = key
+			rec(nd.children[i], level+1)
 		}
 	}
-	rec(t.root)
+	rec(t.root, 0)
 	return out
 }
 

@@ -200,16 +200,20 @@ func (en *Engine) executeCtx(ctx context.Context, cq Contextual, current ctxmode
 		res.Resolutions = append(res.Resolutions, r)
 	}
 	if !matched {
-		// Non-contextual fallback: plain selection, unranked.
+		// Non-contextual fallback: plain selection, unranked, cut to
+		// TopK before any tuple is built.
 		idxs, err := en.rel.SelectCtx(ctx, cq.Selection...)
 		if err != nil {
 			return nil, err
 		}
-		for _, idx := range idxs {
-			res.Tuples = append(res.Tuples, relation.ScoredTuple{Index: idx, Tuple: en.rel.Tuple(idx)})
+		if cq.TopK > 0 && len(idxs) > cq.TopK {
+			idxs = idxs[:cq.TopK]
 		}
-		if cq.TopK > 0 && len(res.Tuples) > cq.TopK {
-			res.Tuples = res.Tuples[:cq.TopK]
+		if len(idxs) > 0 {
+			res.Tuples = make([]relation.ScoredTuple, len(idxs))
+			for i, idx := range idxs {
+				res.Tuples[i] = relation.ScoredTuple{Index: idx, Tuple: en.rel.Tuple(idx)}
+			}
 		}
 		return res, nil
 	}

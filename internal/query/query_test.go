@@ -1,9 +1,11 @@
 package query
 
 import (
+	"reflect"
 	"testing"
 
 	"contextpref/internal/ctxmodel"
+	"contextpref/internal/dataset"
 	"contextpref/internal/distance"
 	"contextpref/internal/preference"
 	"contextpref/internal/profiletree"
@@ -372,5 +374,64 @@ func TestExecuteErrorPropagation(t *testing.T) {
 	cur, _ := e2.NewState("Plaka", "warm", "friends")
 	if _, err := en2.Execute(Contextual{}, cur); err == nil {
 		t.Error("clause over unknown column should fail")
+	}
+}
+
+// TestFallbackTopKMatchesBuildThenTruncate pins the non-contextual
+// fallback, which cuts the selection to TopK before building tuples,
+// to the result of building every tuple and truncating afterwards.
+func TestFallbackTopKMatchesBuildThenTruncate(t *testing.T) {
+	e, err := dataset.RealEnvironment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := dataset.POIs(e, 300, 2007)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := profiletree.New(e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	en, err := NewEngine(empty, rel, distance.Jaccard{}, relation.CombineMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := e.NewState("friends", "t01", "ath_r01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildThenTruncate := func(sel []relation.Predicate, k int) []relation.ScoredTuple {
+		idxs, err := rel.Select(sel...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []relation.ScoredTuple
+		for _, idx := range idxs {
+			out = append(out, relation.ScoredTuple{Index: idx, Tuple: rel.Tuple(idx)})
+		}
+		if k > 0 && len(out) > k {
+			out = out[:k]
+		}
+		return out
+	}
+	selections := map[string][]relation.Predicate{
+		"none":    nil,
+		"museums": {{Col: "type", Op: relation.OpEq, Val: relation.S("museum")}},
+		"nothing": {{Col: "type", Op: relation.OpEq, Val: relation.S("no-such-type")}},
+	}
+	for name, sel := range selections {
+		for _, k := range []int{0, 1, 10, rel.Len() + 1} {
+			res, err := en.Execute(Contextual{Selection: sel, TopK: k}, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Contextual {
+				t.Fatalf("%s/top %d: an empty profile cannot resolve", name, k)
+			}
+			if want := buildThenTruncate(sel, k); !reflect.DeepEqual(res.Tuples, want) {
+				t.Errorf("%s/top %d: got %d tuples, want %d (%v vs %v)", name, k, len(res.Tuples), len(want), res.Tuples, want)
+			}
+		}
 	}
 }
